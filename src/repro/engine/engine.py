@@ -450,15 +450,25 @@ class StorageEngine:
         entries: List[Tuple[int, bytes]],
         txn: Optional[Transaction],
     ) -> List[Tuple[int, bytes]]:
-        """Roll a scan's entries back to the reader's snapshot."""
+        """Roll a scan's entries back to the reader's snapshot.
+
+        Only rows with a version chain can differ from the tree, so a table
+        without chains returns ``entries`` untouched and otherwise only the
+        chained keys are rolled back.
+        """
         assert self.mvcc is not None
+        chained = self.mvcc.chained_keys(table)
+        if not chained:
+            return entries
         out: List[Tuple[int, bytes]] = []
         present = set()
         for key, value in entries:
-            present.add(key)
-            visible = self.mvcc.read_row(table, key, value, txn)
-            if visible is not None:
-                out.append((key, visible))
+            if key in chained:
+                present.add(key)
+                value = self.mvcc.read_row(table, key, value, txn)
+                if value is None:
+                    continue
+            out.append((key, value))
         extras = self.mvcc.visible_extra_rows(table, low, high, present, txn)
         if extras:
             out.extend(extras)

@@ -27,7 +27,7 @@ state that was never meant to reach the disk logs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 from ..errors import TransactionError, WriteConflictError
 from .transaction import Transaction
@@ -247,6 +247,16 @@ class MVCCManager:
             value = node.before_image if node.before_image else None
             node = node.prev
         return value
+
+    def chained_keys(self, table: str) -> AbstractSet[int]:
+        """Keys of ``table`` that carry a version chain (a live view).
+
+        Only these rows can read differently at some snapshot than the
+        tree holds them; every other row is visible as stored. An empty
+        view means a scan's entries need no rollback at all.
+        """
+        chain = self._chains.get(table)
+        return chain.keys() if chain else frozenset()
 
     def visible_extra_rows(
         self,

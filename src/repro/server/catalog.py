@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CatalogError
@@ -22,10 +22,12 @@ class TableSchema:
     columns: Tuple[ColumnDef, ...]
     primary_key: Optional[str]
     _next_hidden_rowid: int = 1
+    #: Column name -> position, built once so lookups are O(1).
+    _positions: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [c.name for c in self.columns]
-        if len(set(names)) != len(names):
+        self._positions = {c.name: idx for idx, c in enumerate(self.columns)}
+        if len(self._positions) != len(self.columns):
             raise CatalogError(f"duplicate column names in table {self.name!r}")
         if self.primary_key is not None:
             pk_col = self.column(self.primary_key)
@@ -40,19 +42,18 @@ class TableSchema:
         return [c.name for c in self.columns]
 
     def column(self, name: str) -> ColumnDef:
-        for col in self.columns:
-            if col.name == name:
-                return col
-        raise CatalogError(f"table {self.name!r} has no column {name!r}")
+        return self.columns[self.column_index(name)]
 
     def column_index(self, name: str) -> int:
-        for idx, col in enumerate(self.columns):
-            if col.name == name:
-                return idx
-        raise CatalogError(f"table {self.name!r} has no column {name!r}")
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise CatalogError(
+                f"table {self.name!r} has no column {name!r}"
+            ) from None
 
     def has_column(self, name: str) -> bool:
-        return any(c.name == name for c in self.columns)
+        return name in self._positions
 
     def validate_value(self, column: ColumnDef, value: Literal) -> None:
         """Type-check one value against its column definition."""

@@ -17,7 +17,7 @@ leaves behind every artifact the paper catalogs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..clock import SimClock
 from ..engine import StorageEngine
@@ -411,9 +411,9 @@ class MySQLServer:
                 from_cache=True,
             )
 
-        candidate_rows, rows_examined = self._fetch_candidates(
-            schema, stmt, txn=session.active_txn
-        )
+        candidates = self._fetch_candidates(schema, stmt, txn=session.active_txn)
+        candidate_rows = [row for _, row in candidates]
+        rows_examined = len(candidates)
         # Executor string copies: the comparison constants of the WHERE
         # clause are materialized once per query (Item::val_str style).
         if stmt.where is not None:
@@ -451,13 +451,13 @@ class MySQLServer:
         )
 
     def _fetch_candidates(
-        self, schema: TableSchema, stmt: Select, txn=None
-    ) -> Tuple[List[Row], int]:
-        """Fetch rows via the planned access path, touching the buffer pool.
+        self, schema: TableSchema, stmt: Union[Select, Update, Delete], txn=None
+    ) -> List[Tuple[int, Row]]:
+        """``(key, row)`` pairs via the planned access path, touching the
+        buffer pool; each pair is one row examined. SELECT, UPDATE and
+        DELETE all reach their rows this way, as MySQL plans them.
 
-        ``txn`` is the session's open transaction (or ``None`` for
-        autocommit reads); under MVCC it fixes the snapshot.
-        """
+        Under MVCC ``txn`` fixes the snapshot (``None``: latest committed)."""
         with self.obs.span("plan", table=schema.name):
             plan = plan_select(stmt, schema.primary_key)
         if plan.kind is PlanKind.PK_LOOKUP:
@@ -465,17 +465,17 @@ class MySQLServer:
             payload, _ = self.engine.get(schema.name, plan.key_equal, txn=txn)
             self.adaptive_hash.record_lookup(schema.name, plan.key_equal)
             if payload is None:
-                return [], 0
+                return []
             row, _ = decode_row(payload)
-            return [row], 1
+            return [(plan.key_equal, row)]
+        # A key range reads only its leaves; anything else scans every page.
         if plan.kind is PlanKind.PK_RANGE:
             entries, _ = self.engine.range(
                 schema.name, plan.key_low, plan.key_high, txn=txn
             )
         else:
             entries, _ = self.engine.full_scan(schema.name, txn=txn)
-        rows = [decode_row(payload)[0] for _, payload in entries]
-        return rows, len(rows)
+        return [(key, decode_row(payload)[0]) for key, payload in entries]
 
     # -- virtual (diagnostic) tables ---------------------------------------------------
 
@@ -701,12 +701,9 @@ class MySQLServer:
 
         txn, autocommit = self._begin_write(session, stmt.raw)
         affected = 0
-        examined = 0
         try:
-            entries, _ = self.engine.full_scan(stmt.table, txn=txn)
-            for key, payload in entries:
-                examined += 1
-                row, _ = decode_row(payload)
+            candidates = self._fetch_candidates(schema, stmt, txn=txn)
+            for key, row in candidates:
                 if not where_matches(schema, row, stmt.where, self._udfs):
                     continue
                 new_row = list(row)
@@ -725,7 +722,7 @@ class MySQLServer:
             statement=stmt.raw,
             columns=(),
             rows=(),
-            rows_examined=examined,
+            rows_examined=len(candidates),
             rows_affected=affected,
             duration=0.0,
         )
@@ -737,12 +734,9 @@ class MySQLServer:
                 schema.column(cond.column)
         txn, autocommit = self._begin_write(session, stmt.raw)
         affected = 0
-        examined = 0
         try:
-            entries, _ = self.engine.full_scan(stmt.table, txn=txn)
-            for key, payload in entries:
-                examined += 1
-                row, _ = decode_row(payload)
+            candidates = self._fetch_candidates(schema, stmt, txn=txn)
+            for key, row in candidates:
                 if not where_matches(schema, row, stmt.where, self._udfs):
                     continue
                 self.engine.delete(txn, stmt.table, key)
@@ -758,7 +752,7 @@ class MySQLServer:
             statement=stmt.raw,
             columns=(),
             rows=(),
-            rows_examined=examined,
+            rows_examined=len(candidates),
             rows_affected=affected,
             duration=0.0,
         )

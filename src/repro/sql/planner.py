@@ -1,24 +1,26 @@
 """A minimal access-path planner.
 
-The planner decides whether a SELECT can be served by a primary-key B+-tree
-lookup/range or needs a full scan. The distinction matters for the paper's
+The planner decides whether a statement's WHERE clause can be served by a
+primary-key B+-tree lookup/range or needs a full scan. SELECT, UPDATE and
+DELETE share it, as in MySQL. The distinction matters for the paper's
 Section 3 buffer-pool experiment: index lookups touch a root-to-leaf *path*
 of pages, and that path is what the ``ib_buffer_pool`` dump file later
-reveals about past SELECTs.
+reveals about past statements. It also fixes each statement's
+``Rows_examined``, the volume the slow log and performance schema record.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from ..errors import PlanError
-from .ast import BetweenCondition, Comparison, MatchCondition, Select
+from .ast import BetweenCondition, Comparison, Delete, MatchCondition, Select, Update
 
 
 class PlanKind(enum.Enum):
-    """How a SELECT reaches the rows it needs."""
+    """How a statement reaches the rows it needs."""
 
     PK_LOOKUP = "pk_lookup"      # equality on the primary key
     PK_RANGE = "pk_range"        # range predicate on the primary key
@@ -27,7 +29,7 @@ class PlanKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Plan:
-    """Chosen access path for a SELECT statement."""
+    """Chosen access path for a SELECT, UPDATE or DELETE statement."""
 
     kind: PlanKind
     key_equal: Optional[int] = None
@@ -35,8 +37,14 @@ class Plan:
     key_high: Optional[int] = None
 
 
-def plan_select(stmt: Select, primary_key: Optional[str]) -> Plan:
-    """Plan ``stmt`` given the table's primary-key column (or ``None``)."""
+def plan_select(
+    stmt: Union[Select, Update, Delete], primary_key: Optional[str]
+) -> Plan:
+    """Plan ``stmt`` given the table's primary-key column (or ``None``).
+
+    Only the WHERE clause matters, so the same plan serves reads and
+    writes.
+    """
     if primary_key is None or stmt.where is None:
         return Plan(kind=PlanKind.FULL_SCAN)
 

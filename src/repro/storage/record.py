@@ -13,10 +13,11 @@ little-endian two's complement; strings and blobs are 4-byte length-prefixed.
 
 from __future__ import annotations
 
+import struct
 from typing import List, Sequence, Tuple, Union
 
 from ..errors import RecordError
-from ..util.serialization import encode_uint, read_uint
+from ..util.serialization import encode_uint
 
 Value = Union[int, str, bytes, None]
 Row = Tuple[Value, ...]
@@ -28,6 +29,9 @@ _TAG_NULL = ord("n")
 
 _INT_MIN = -(1 << 63)
 _INT_MAX = (1 << 63) - 1
+
+_unpack_u32 = struct.Struct("<I").unpack_from
+_unpack_i64 = struct.Struct("<q").unpack_from
 
 
 def encode_value(value: Value) -> bytes:
@@ -49,34 +53,6 @@ def encode_value(value: Value) -> bytes:
     raise RecordError(f"unsupported value type {type(value).__name__}")
 
 
-def decode_value(data: bytes, offset: int) -> Tuple[Value, int]:
-    """Decode one tagged value at ``offset``; return ``(value, new_offset)``."""
-    if offset >= len(data):
-        raise RecordError(f"truncated value at offset {offset}")
-    tag = data[offset]
-    offset += 1
-    if tag == _TAG_NULL:
-        return None, offset
-    if tag == _TAG_INT:
-        end = offset + 8
-        if end > len(data):
-            raise RecordError(f"truncated integer at offset {offset}")
-        return int.from_bytes(data[offset:end], "little", signed=True), end
-    if tag in (_TAG_STR, _TAG_BYTES):
-        length, offset = read_uint(data, offset)
-        end = offset + length
-        if end > len(data):
-            raise RecordError(f"truncated string/blob at offset {offset}")
-        body = data[offset:end]
-        if tag == _TAG_STR:
-            try:
-                return body.decode("utf-8"), end
-            except UnicodeDecodeError as exc:
-                raise RecordError(f"invalid UTF-8 in record: {exc}") from exc
-        return body, end
-    raise RecordError(f"unknown value tag {tag:#x} at offset {offset - 1}")
-
-
 def encode_row(row: Sequence[Value]) -> bytes:
     """Encode a full row: 4-byte column count then tagged values."""
     parts = [encode_uint(len(row))]
@@ -85,12 +61,59 @@ def encode_row(row: Sequence[Value]) -> bytes:
 
 
 def decode_row(data: bytes, offset: int = 0) -> Tuple[Row, int]:
-    """Decode a row at ``offset``; return ``(row, new_offset)``."""
-    count, offset = read_uint(data, offset)
+    """Decode a row at ``offset``; return ``(row, new_offset)``.
+
+    One pass over the bytes with no per-value calls, because scans decode
+    thousands of rows per statement. Malformed input (truncation, an
+    unknown tag, invalid UTF-8) raises :class:`RecordError` naming the
+    offset where decoding stopped.
+    """
+    size = len(data)
+    end = offset + 4
+    if end > size:
+        raise RecordError(
+            f"truncated integer at offset {offset} (need 4 bytes, "
+            f"have {size - offset})"
+        )
+    (count,) = _unpack_u32(data, offset)
+    offset = end
     values: List[Value] = []
+    append = values.append
     for _ in range(count):
-        value, offset = decode_value(data, offset)
-        values.append(value)
+        if offset >= size:
+            raise RecordError(f"truncated value at offset {offset}")
+        tag = data[offset]
+        offset += 1
+        if tag == _TAG_INT:
+            end = offset + 8
+            if end > size:
+                raise RecordError(f"truncated integer at offset {offset}")
+            append(_unpack_i64(data, offset)[0])
+        elif tag == _TAG_STR or tag == _TAG_BYTES:
+            end = offset + 4
+            if end > size:
+                raise RecordError(
+                    f"truncated integer at offset {offset} (need 4 bytes, "
+                    f"have {size - offset})"
+                )
+            offset = end
+            end = offset + _unpack_u32(data, offset - 4)[0]
+            if end > size:
+                raise RecordError(f"truncated string/blob at offset {offset}")
+            body = data[offset:end]
+            if tag == _TAG_STR:
+                try:
+                    append(body.decode("utf-8"))
+                except UnicodeDecodeError as exc:
+                    raise RecordError(f"invalid UTF-8 in record: {exc}") from exc
+            else:
+                append(body)
+        elif tag == _TAG_NULL:
+            append(None)
+            continue
+        else:
+            raise RecordError(f"unknown value tag {tag:#x} at offset {offset - 1}")
+        offset = end
     return tuple(values), offset
 
 
