@@ -32,7 +32,8 @@ from typing import Dict, Iterable, Optional, Tuple
 #: per-function protocol/lockset facts next to each module's Contributions.
 #: v3: the volume taint domain changes what Contributions record (len()
 #: retainting, widened sink params), so v2 summaries are unusable.
-CACHE_VERSION = 3
+#: v4: report flows carry their function's ``def`` line.
+CACHE_VERSION = 4
 
 DEFAULT_CACHE_DIRNAME = ".repro-lint-cache"
 

@@ -78,6 +78,8 @@ def build_volume_surface(spec: LeakageSpec, flows) -> Optional[dict]:
     """The per-sink volume map that the E14+ attack suite consumes.
 
     ``flows`` is the report's flow list (taint/sink/category/function/line).
+    ``observed_at`` is ``qualname+offset``, the offset counted from the
+    function's ``def`` line, so edits elsewhere in a file do not move it.
     Returns ``None`` when the spec has no ``volume_surface`` section. The
     output is fully deterministic: sorted keys, no timestamps — CI diffs
     the committed file against a fresh run.
@@ -95,7 +97,7 @@ def build_volume_surface(spec: LeakageSpec, flows) -> Optional[dict]:
     for flow in flows:
         if flow.taint in vkinds and flow.category in persisted:
             observed_at[(flow.taint, flow.sink)] = (
-                f"{flow.function}:{flow.line}"
+                f"{flow.function}+{flow.line - flow.def_line}"
             )
     sinks: Dict[str, dict] = {}
     for dec in policy.declared:

@@ -136,6 +136,7 @@ class AnalysisReport:
                     "sink_callable": f.sink_callable,
                     "function": f.function,
                     "line": f.line,
+                    "def_line": f.def_line,
                     "witness": list(f.witness),
                 }
                 for f in self.flows

@@ -121,6 +121,9 @@ class Flow:
     sink_callable: str
     function: str
     line: int
+    #: Line of ``function``'s ``def``, so ``line - def_line`` locates the
+    #: flow independently of edits elsewhere in the file.
+    def_line: int
     witness: List[str] = field(default_factory=list)
 
 
@@ -450,6 +453,7 @@ class TaintEngine:
                 sink_callable=sink_qual,
                 function=fn,
                 line=line,
+                def_line=self.index.functions[fn].node.lineno,
                 witness=self._witness(fn, taint, line, sink_qual),
             )
 

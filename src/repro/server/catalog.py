@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CatalogError
 from ..sql.ast import ColumnDef, Literal
+from ..storage.record import Row, row_decoder
 
 
 @dataclass
@@ -24,11 +25,15 @@ class TableSchema:
     _next_hidden_rowid: int = 1
     #: Column name -> position, built once so lookups are O(1).
     _positions: Dict[str, int] = field(init=False, repr=False, compare=False)
+    #: Stored payload -> row; the same result as ``decode_row(payload)[0]``,
+    #: specialised to this table's column types once.
+    decode: Callable[[bytes], Row] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._positions = {c.name: idx for idx, c in enumerate(self.columns)}
         if len(self._positions) != len(self.columns):
             raise CatalogError(f"duplicate column names in table {self.name!r}")
+        self.decode = row_decoder([c.type for c in self.columns])
         if self.primary_key is not None:
             pk_col = self.column(self.primary_key)
             if pk_col.type != "INT":

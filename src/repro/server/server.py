@@ -46,7 +46,7 @@ from ..sql.ast import (
 )
 from ..sql.lexer import TokenType, tokenize
 from ..sql.planner import PlanKind, plan_select
-from ..storage import BufferPool, decode_row, encode_row
+from ..storage import BufferPool, encode_row
 from ..storage.buffer_pool import BufferPoolDump
 from .adaptive_hash import AdaptiveHashIndex
 from .catalog import Catalog, TableSchema
@@ -466,8 +466,7 @@ class MySQLServer:
             self.adaptive_hash.record_lookup(schema.name, plan.key_equal)
             if payload is None:
                 return []
-            row, _ = decode_row(payload)
-            return [(plan.key_equal, row)]
+            return [(plan.key_equal, schema.decode(payload))]
         # A key range reads only its leaves; anything else scans every page.
         if plan.kind is PlanKind.PK_RANGE:
             entries, _ = self.engine.range(
@@ -475,7 +474,8 @@ class MySQLServer:
             )
         else:
             entries, _ = self.engine.full_scan(schema.name, txn=txn)
-        return [(key, decode_row(payload)[0]) for key, payload in entries]
+        decode = schema.decode
+        return [(key, decode(payload)) for key, payload in entries]
 
     # -- virtual (diagnostic) tables ---------------------------------------------------
 
@@ -783,10 +783,10 @@ class MySQLServer:
         """
         schema = self.catalog.table(table)
         idx = schema.column_index(column)
+        decode = schema.decode
 
         def extractor(payload: bytes) -> Optional[int]:
-            row, _ = decode_row(payload)
-            value = row[idx]
+            value = decode(payload)[idx]
             if isinstance(value, int) and not isinstance(value, bool):
                 return value
             return None

@@ -245,13 +245,22 @@ class PagedBTree:
         frame = self._descend(start_key, path)
         results: List[Tuple[int, bytes]] = []
         while True:
-            for entry_key, payload in frame.node.entries:
-                if low is not None and entry_key < low:
-                    continue
-                if high is not None and entry_key > high:
-                    self._pool.unpin(frame)
-                    return results, path
-                results.append((entry_key, payload))
+            entries = frame.node.entries
+            if (
+                entries
+                and (low is None or entries[0][0] >= low)
+                and (high is None or entries[-1][0] <= high)
+            ):
+                # The whole leaf lies inside the bounds.
+                results.extend(entries)
+            else:
+                for entry_key, payload in entries:
+                    if low is not None and entry_key < low:
+                        continue
+                    if high is not None and entry_key > high:
+                        self._pool.unpin(frame)
+                        return results, path
+                    results.append((entry_key, payload))
             next_page = frame.node.next_page
             self._pool.unpin(frame)
             if next_page == NO_PAGE:

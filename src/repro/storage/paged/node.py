@@ -17,7 +17,7 @@ decisions are made against the real 4 KB budget, not an entry count.
 from __future__ import annotations
 
 import struct
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from ...errors import PageError, StorageError
 from .format import (
@@ -59,14 +59,16 @@ class LeafNode:
         entries: List[Tuple[int, bytes]] = None,
         prev_page: int = NO_PAGE,
         next_page: int = NO_PAGE,
+        used_bytes: Optional[int] = None,
     ) -> None:
         self.page_id = page_id
         self.entries: List[Tuple[int, bytes]] = entries if entries is not None else []
         self.prev_page = prev_page
         self.next_page = next_page
-        self._used = sum(
-            LEAF_ENTRY_OVERHEAD + len(p) for _, p in self.entries
-        )
+        # ``decode`` knows the byte usage from its final offset.
+        if used_bytes is None:
+            used_bytes = sum(LEAF_ENTRY_OVERHEAD + len(p) for _, p in self.entries)
+        self._used = used_bytes
 
     # -- capacity ----------------------------------------------------------
 
@@ -135,28 +137,33 @@ class LeafNode:
             raise PageError(
                 f"page {image.page_id} is {image.page_type.name}, not a leaf"
             )
-        entries: List[Tuple[int, bytes]] = []
+        # One pass with explicit bounds checks; entries slice a ``bytes``
+        # payload, so every stored payload is ``bytes``.
         payload = image.payload
+        if type(payload) is not bytes:
+            payload = bytes(payload)
+        size = len(payload)
+        unpack = _LEAF_ENTRY.unpack_from
+        entries: List[Tuple[int, bytes]] = []
+        append = entries.append
         offset = 0
         for _ in range(image.n_entries):
-            try:
-                key, length = _LEAF_ENTRY.unpack_from(payload, offset)
-            except struct.error:
-                raise PageError(
-                    f"truncated leaf entry on page {image.page_id}"
-                ) from None
-            offset += LEAF_ENTRY_OVERHEAD
-            if offset + length > len(payload):
+            start = offset + LEAF_ENTRY_OVERHEAD
+            if start > size:
+                raise PageError(f"truncated leaf entry on page {image.page_id}")
+            key, length = unpack(payload, offset)
+            offset = start + length
+            if offset > size:
                 raise PageError(
                     f"leaf entry on page {image.page_id} overruns the page"
                 )
-            entries.append((key, bytes(payload[offset:offset + length])))
-            offset += length
+            append((key, payload[start:offset]))
         return cls(
             image.page_id,
             entries,
             prev_page=image.prev_page,
             next_page=image.next_page,
+            used_bytes=offset,
         )
 
 

@@ -136,6 +136,29 @@ class TestVolumePass:
         assert all(f["granularity"] for f in entry["flows"])
         assert all(f["observed_at"] for f in entry["flows"])
 
+    def test_observed_at_is_an_offset_from_the_def_line(self, tmp_path):
+        work = copy_fixture(tmp_path, "volume_pkg_good")
+
+        def observed_at():
+            report = run_work(work, "volume_pkg_good")
+            surface = build_volume_surface(report.spec, report.flows)
+            flows = surface["sinks"]["telemetry_store"]["flows"]
+            return {f["taint"]: f["observed_at"] for f in flows}
+
+        before = observed_at()
+        assert before == {
+            "volume.duration": "volume_pkg_good.app.Store.timed_scan+3",
+            "volume.length": "volume_pkg_good.app.Store.scan_count+1",
+        }
+        # Lines added above the functions leave the artifact unchanged.
+        app = work / "src" / "volume_pkg_good" / "app.py"
+        source = app.read_text(encoding="utf-8")
+        app.write_text(
+            source.replace("class Store:", "# padding\n\n\nclass Store:"),
+            encoding="utf-8",
+        )
+        assert observed_at() == before
+
 
 class TestDurabilityPass:
     def test_bad_fixture_flags_every_rule(self):
