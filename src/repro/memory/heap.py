@@ -18,7 +18,7 @@ Two allocators are modeled:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import MemoryModelError
 
@@ -207,6 +207,23 @@ class BumpArena:
 
     def alloc_str(self, text: str) -> int:
         return self.alloc(text.encode("utf-8"))
+
+    def alloc_many(self, parts: Sequence[bytes]) -> None:
+        """Copy ``parts`` in as consecutive ``alloc`` calls would.
+
+        When the whole run fits the current chunk, those calls would land
+        back to back in it, so one ``alloc`` of the joined bytes writes the
+        same bytes at the same addresses; otherwise each part is allocated
+        in turn (a chunk crossing or an oversized part).
+        """
+        if not parts:
+            return
+        data = b"".join(parts)
+        if self._cursor + len(data) <= self._chunk_size:
+            self.alloc(data)
+        else:
+            for part in parts:
+                self.alloc(part)
 
     def reset(self) -> None:
         """End-of-statement cleanup: rewind, free overflow chunks.

@@ -92,11 +92,21 @@ class PerformanceSchema:
         rows_examined: int,
         rows_sent: int,
         tokens=None,
+        shape=None,
     ) -> Optional[StatementEvent]:
-        """Account one finished statement across all three tables."""
+        """Account one finished statement across all three tables.
+
+        ``tokens`` is the statement's token stream and ``shape`` its
+        memoized :class:`~repro.sql.shape.Shape`, if it has one. A
+        statement that did not lex (``tokens`` is ``None``) is recorded
+        with MySQL's NULL digest (``""``) and no digest summary row.
+        """
         if not self.enabled:
             return None
-        digest_value = compute_digest(sql_text, tokens=tokens)
+        if tokens is None:
+            digest_value = ""
+        else:
+            digest_value = compute_digest(sql_text, tokens=tokens, shape=shape)
         text_addr = self._heap.alloc_str(sql_text, tag="perf/statement")
         event = StatementEvent(
             thread_id=thread_id,
@@ -121,9 +131,11 @@ class PerformanceSchema:
             # Freed, not zeroed: evicted history text persists in the heap.
             self._heap.free(evicted.text_addr)
 
+        if tokens is None:
+            return event
         summary = self._digests.get(digest_value)
         if summary is None:
-            digest_text = canonicalize(sql_text, tokens=tokens)
+            digest_text = canonicalize(sql_text, tokens=tokens, shape=shape)
             self._digest_addrs[digest_value] = self._heap.alloc_str(
                 digest_text, tag="perf/digest"
             )

@@ -25,8 +25,8 @@ from ..engine.query_logs import GeneralQueryLog, QueryLogEntry, SlowQueryLog
 from ..errors import (
     CatalogError,
     DuplicateKeyError,
+    LexerError,
     ServerError,
-    SQLError,
     StorageError,
 )
 from ..memory import SimulatedHeap
@@ -44,7 +44,8 @@ from ..sql.ast import (
     Select,
     Update,
 )
-from ..sql.lexer import TokenType, tokenize
+from ..sql.lexer import tokenize
+from ..sql.shape import ShapeMemo, token_spill
 from ..sql.planner import PlanKind, plan_select
 from ..storage import BufferPool, encode_row
 from ..storage.buffer_pool import BufferPoolDump
@@ -201,6 +202,9 @@ class MySQLServer:
             enabled=self.config.perf_schema_enabled,
         )
         self.info_schema = InformationSchema()
+        #: Parse/digest/spill work memoized per statement shape; simulator
+        #: bookkeeping outside the simulated heap, read by no snapshot.
+        self.shapes = ShapeMemo()
         self.adaptive_hash = AdaptiveHashIndex(
             enabled=self.config.ahi_enabled,
             promotion_threshold=self.config.ahi_threshold,
@@ -258,12 +262,24 @@ class MySQLServer:
     def execute(self, session: Session, sql: str) -> QueryResult:
         """Run one SQL statement on ``session``."""
         timestamp = self.clock.timestamp()
-        session.begin_statement(sql, timestamp)
-        tokens = self._spill_statement_strings(session, sql)
+        # Lexed exactly once; parse, digest and spill all reuse the tokens
+        # and, when the statement's shape parses, its memoized shape.
+        tokens = shape = lex_error = None
+        try:
+            tokens = tokenize(sql)
+        except LexerError as exc:
+            lex_error = exc  # surfaces where parse errors do, below
+        else:
+            shape = self.shapes.lookup(sql, tokens)
+        session.begin_statement(
+            sql, timestamp, self._spill_statement_strings(tokens, shape)
+        )
         query_span = self.obs.begin_span("query")
         try:
             with self.obs.span("parse"):
-                stmt = parse(sql, tokens=tokens)
+                if lex_error is not None:
+                    raise lex_error
+                stmt = parse(sql, tokens=tokens, shape=shape)
             with self.obs.span("execute", detail=type(stmt).__name__):
                 if isinstance(stmt, Select):
                     result = self._execute_select(session, stmt)
@@ -290,7 +306,7 @@ class MySQLServer:
             try:
                 self._account_statement(
                     session, sql, timestamp, rows_examined=0, rows_sent=0,
-                    tokens=tokens,
+                    tokens=tokens, shape=shape,
                 )
             finally:
                 self.obs.end_span(query_span, detail="error")
@@ -304,6 +320,7 @@ class MySQLServer:
             rows_examined=result.rows_examined,
             rows_sent=result.rows_sent,
             tokens=tokens,
+            shape=shape,
         )
         # The root span closes after accounting so its duration covers the
         # whole statement; its detail is the digest — the "query type"
@@ -322,26 +339,21 @@ class MySQLServer:
 
     # -- memory spill of statement strings (Section 5 mechanisms) -----------------
 
-    def _spill_statement_strings(self, session: Session, sql: str):
-        """Copy tokens into the session arena the way parser items do.
+    @staticmethod
+    def _spill_statement_strings(tokens, shape) -> Sequence[bytes]:
+        """The token copies the lexer and parser leave in the session arena.
 
         The lexer keeps the raw token text, the parser keeps the parsed
-        value: two independent copies per identifier/literal, both living in
-        the statement arena until overwritten.
-
-        Returns the token list so the statement is tokenized exactly once
-        (parse, digest, and canonicalize all reuse it); ``None`` on lexer
-        errors, which then surface from ``parse``.
+        value: two independent copies per identifier/string literal, both
+        living in the statement arena until overwritten. Lexically invalid
+        input (``tokens`` is ``None``) never reaches the parser and spills
+        nothing.
         """
-        try:
-            tokens = tokenize(sql)
-        except SQLError:
-            return None  # lexically invalid input never reaches the parser
-        for token in tokens:
-            if token.type in (TokenType.IDENTIFIER, TokenType.STRING):
-                session.query_arena.alloc_str(token.text)      # lexer copy
-                session.query_arena.alloc_str(str(token.value))  # parser copy
-        return tokens
+        if shape is not None:
+            return shape.spill(tokens)
+        if tokens is None:
+            return ()
+        return token_spill(tokens)
 
     def _account_statement(
         self,
@@ -350,13 +362,13 @@ class MySQLServer:
         timestamp: int,
         rows_examined: int,
         rows_sent: int,
-        tokens=None,
+        tokens=None, shape=None,
     ) -> Tuple[float, str]:
         """Clock, logs, and performance-schema bookkeeping for a statement.
 
         Returns ``(duration, digest)``; the digest comes for free from the
         performance-schema event (computed once), or is computed directly
-        when only the observability layer wants it.
+        when only the observability layer wants it ("" if it did not lex).
         """
         duration = (
             self.config.base_cost_seconds
@@ -381,11 +393,12 @@ class MySQLServer:
             rows_examined=rows_examined,
             rows_sent=rows_sent,
             tokens=tokens,
+            shape=shape,
         )
         if event is not None:
             digest_value = event.digest
-        elif self.obs.enabled:
-            digest_value = compute_digest(sql, tokens=tokens)
+        elif self.obs.enabled and tokens is not None:
+            digest_value = compute_digest(sql, tokens=tokens, shape=shape)
         else:
             digest_value = ""
         return duration, digest_value

@@ -18,7 +18,7 @@ other threads.
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..errors import SessionError
 from ..memory import BumpArena, SimulatedHeap
@@ -55,8 +55,14 @@ class Session:
 
     # -- statement lifecycle ----------------------------------------------------
 
-    def begin_statement(self, sql: str, timestamp: int) -> None:
-        """Receive a statement: copy it into the net buffer and the arena."""
+    def begin_statement(
+        self, sql: str, timestamp: int, spill: Sequence[bytes] = ()
+    ) -> None:
+        """Receive a statement: copy it into the net buffer and the arena.
+
+        ``spill`` holds the lexer and parser string copies, which follow
+        the statement text in the arena.
+        """
         self._ensure_open()
         if self.state is SessionState.EXECUTING:
             raise SessionError(
@@ -71,8 +77,8 @@ class Session:
         # Written at offset 0 over the previous statement's bytes - whatever
         # the new statement does not cover survives.
         self._heap.write(self._net_buffer, raw)
-        # THD::query - the arena copy of the full text.
-        self.query_arena.alloc(raw)
+        # THD::query - the arena copy of the full text, then the token copies.
+        self.query_arena.alloc_many((raw, *spill))
         self.state = SessionState.EXECUTING
         self.current_statement = sql
         self.statement_started_at = timestamp

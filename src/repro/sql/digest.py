@@ -27,24 +27,28 @@ from __future__ import annotations
 import hashlib
 from typing import List
 
-from .lexer import TokenType, tokenize
+from .lexer import LITERAL_TYPES, TokenType, tokenize
 
 
-def canonicalize(sql: str, tokens=None) -> str:
+def canonicalize(sql: str, tokens=None, shape=None) -> str:
     """Return the canonical "query type" text for ``sql``.
 
     Runs of ``?`` produced by multi-value lists (``VALUES (?, ?, ?)``)
     stay distinct per position, matching MySQL's behaviour of preserving
     statement structure. ``tokens`` may carry a pre-lexed stream to avoid
-    re-tokenizing on the statement hot path.
+    re-tokenizing on the statement hot path; ``shape`` may carry the
+    statement's compiled :class:`~repro.sql.shape.Shape`, whose canonical
+    text was computed once for every statement of that shape.
     """
+    if shape is not None:
+        return shape.canonical
     if tokens is None:
         tokens = tokenize(sql)
     parts: List[str] = []
     for token in tokens:
         if token.type is TokenType.EOF:
             break
-        if token.type in (TokenType.NUMBER, TokenType.STRING, TokenType.HEX):
+        if token.type in LITERAL_TYPES:
             parts.append("?")
         elif token.type is TokenType.KEYWORD:
             parts.append(token.text.upper())
@@ -66,8 +70,13 @@ def canonicalize(sql: str, tokens=None) -> str:
     return text
 
 
-def digest(sql: str, tokens=None) -> str:
+def digest(sql: str, tokens=None, shape=None) -> str:
     """Return the hex digest identifying ``sql``'s canonical form."""
-    return hashlib.sha256(
-        canonicalize(sql, tokens=tokens).encode("utf-8")
-    ).hexdigest()[:32]
+    if shape is not None:
+        return shape.digest
+    return digest_of(canonicalize(sql, tokens=tokens))
+
+
+def digest_of(canonical: str) -> str:
+    """Return the hex digest of an already canonical text."""
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]

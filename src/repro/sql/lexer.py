@@ -34,6 +34,11 @@ class TokenType(enum.Enum):
     EOF = "eof"
 
 
+#: Token types that carry a literal value. A statement's digest and parse
+#: depend on their types, never on their values.
+LITERAL_TYPES = (TokenType.NUMBER, TokenType.STRING, TokenType.HEX)
+
+
 class Token:
     """One lexical token with its raw source text and position.
 

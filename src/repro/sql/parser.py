@@ -25,7 +25,7 @@ from .ast import (
     Update,
     WhereClause,
 )
-from .lexer import Token, TokenType, tokenize
+from .lexer import LITERAL_TYPES, Token, TokenType, tokenize
 
 
 class _Parser:
@@ -87,7 +87,7 @@ class _Parser:
 
     def literal(self) -> Literal:
         token = self.advance()
-        if token.type in (TokenType.NUMBER, TokenType.STRING, TokenType.HEX):
+        if token.type in LITERAL_TYPES:
             return token.value
         if token.is_keyword("NULL"):
             return None
@@ -173,7 +173,7 @@ class _Parser:
             token = self.advance()
             if token.type is not TokenType.NUMBER:
                 raise ParseError(f"LIMIT expects a number, got {token.text!r}")
-            limit = int(token.value)  # type: ignore[arg-type]
+            limit = token.value
         return Select(
             raw=self.raw,
             table=table,
@@ -296,7 +296,7 @@ class _Parser:
                     f"MATCH expects a string keyword, got {token.text!r}"
                 )
             self.expect_punct(")")
-            return MatchCondition(column=column, keyword=str(token.value))
+            return MatchCondition(column=column, keyword=token.value)
         if (
             self.peek().type is TokenType.IDENTIFIER
             and self.tokens[self.pos + 1].type is TokenType.PUNCT
@@ -327,13 +327,18 @@ class _Parser:
         return Comparison(column=column, op=op, value=self.literal())
 
 
-def parse(sql: str, tokens=None) -> Statement:
+def parse(sql: str, tokens=None, shape=None) -> Statement:
     """Parse one SQL statement; raises :class:`ParseError` on bad input.
 
     ``tokens`` may carry the statement's pre-lexed token stream so hot
     paths that already tokenized (the server spills token strings into the
-    session arena before parsing) lex each statement exactly once.
+    session arena before parsing) lex each statement exactly once. With
+    ``tokens``, ``shape`` may carry their compiled
+    :class:`~repro.sql.shape.Shape`: the statement is then bound from the
+    shape's AST template instead of parsed.
     """
+    if shape is not None:
+        return shape.bind(sql, shape.literal_values(tokens))
     if not sql or not sql.strip():
         raise ParseError("empty statement")
     return _Parser(sql, tokens=tokens).statement()

@@ -17,6 +17,8 @@ decisions are made against the real 4 KB budget, not an entry count.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
+from math import inf
 from typing import List, Optional, Tuple, Union
 
 from ...errors import PageError, StorageError
@@ -199,15 +201,13 @@ class InternalNode:
         return moved
 
     def route(self, key: int) -> int:
-        """The child page that covers ``key`` (last separator ``<= key``)."""
+        """The child page that covers ``key`` (last separator ``<= key``;
+        the first child when ``key`` is below every separator)."""
         entries = self.entries
-        child = entries[0][1]
-        for sep, candidate in entries:
-            if key >= sep:
-                child = candidate
-            else:
-                break
-        return child
+        # (key, inf) sorts after every (separator <= key, child) entry; no
+        # ``key=`` argument, which bisect only takes from Python 3.10.
+        slot = bisect_right(entries, (key, inf))
+        return entries[slot - 1 if slot else 0][1]
 
     def child_slot(self, child_page_id: int) -> int:
         for slot, (_, child) in enumerate(self.entries):

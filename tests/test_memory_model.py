@@ -1,7 +1,7 @@
 """Unit tests for the simulated heap, arenas, and memory dumps."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MemoryModelError
@@ -123,6 +123,36 @@ class TestBumpArena:
         assert arena.num_chunks > 1
         arena.reset()
         assert arena.num_chunks == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.binary(max_size=40), max_size=6),
+                st.booleans(),
+            ),
+            max_size=12,
+        ),
+        st.booleans(),
+    )
+    def test_alloc_many_equals_consecutive_allocs(self, runs, secure):
+        """One ``alloc_many`` leaves what its parts' ``alloc`` calls would:
+        same bytes, addresses, chunks and heap counters, whether the run
+        fits the chunk, crosses it, or holds a part bigger than a chunk."""
+        def replay(batched):
+            heap = SimulatedHeap(secure_delete=secure)
+            arena = BumpArena(heap, chunk_size=64)
+            for parts, reset in runs:
+                if batched:
+                    arena.alloc_many(parts)
+                else:
+                    for part in parts:
+                        arena.alloc(part)
+                if reset:
+                    arena.reset()
+            return heap.snapshot(), heap.stats, arena.num_chunks, arena.alloc(b"!")
+
+        assert replay(True) == replay(False)
 
     def test_oversized_allocation_gets_own_chunk(self):
         heap = SimulatedHeap()

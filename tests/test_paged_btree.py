@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.storage.paged import (
@@ -326,3 +328,66 @@ class TestSecondaryIndexes:
             for length in (2, 3)
         ]
         assert hits == expected
+
+
+def _linear_route(entries, key):
+    """Reference router: scan the separators for the last one ``<= key``."""
+    child = entries[0][1]
+    for sep, candidate in entries:
+        if key >= sep:
+            child = candidate
+        else:
+            break
+    return child
+
+
+_I64 = st.integers(-(1 << 63), (1 << 63) - 1)
+
+
+class TestInternalRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_I64, max_size=260, unique=True),
+        st.booleans(),
+        st.data(),
+    )
+    def test_route_matches_linear_scan(self, separators, neg_inf_first, data):
+        separators = sorted(set(separators) - {NEG_INF})
+        if neg_inf_first or not separators:
+            separators.insert(0, NEG_INF)
+        entries = [(sep, 1000 + i) for i, sep in enumerate(separators)]
+        node = InternalNode(page_id=1, level=1, entries=entries)
+        near = [sep + d for sep in separators for d in (-1, 0, 1)]
+        keys = data.draw(
+            st.lists(
+                st.one_of(
+                    st.sampled_from(near),
+                    _I64,
+                    # Outside the i64 range: below NEG_INF and above the top.
+                    st.integers(-(1 << 70), -(1 << 63) - 1),
+                    st.integers(1 << 63, 1 << 70),
+                ),
+                min_size=1,
+                max_size=30,
+            )
+        )
+        for key in keys + [separators[0] - 1, separators[-1] + 1]:
+            assert node.route(key) == _linear_route(entries, key), key
+
+    def test_lookups_touch_the_same_pages(self, monkeypatch):
+        def lookups():
+            tree, pool, file = make_tree(capacity=16)
+            tree.bulk_load((k, big(k, 64)) for k in range(0, 75000, 3))
+            assert tree.height >= 3
+            rng = random.Random(7)
+            out = []
+            for key in [rng.randrange(-10, 75010) for _ in range(400)]:
+                payload, path = tree.get(key)
+                out.append((key, payload, tuple(path.page_ids)))
+            return out, pool.stats
+
+        bisected = lookups()
+        monkeypatch.setattr(
+            InternalNode, "route", lambda node, key: _linear_route(node.entries, key)
+        )
+        assert lookups() == bisected
